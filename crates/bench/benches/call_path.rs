@@ -7,6 +7,9 @@
 //!
 //! * **colocated** — `Arc<dyn Trait>` virtual dispatch, zero marshaling;
 //! * **marshaled** — encode + dispatch + decode, same process (weavertest);
+//! * **live_colocated** — a `TcpProcess` whose catalog the live placement
+//!   path migrated to `Colocated`: marshaling, admission gate and local
+//!   dispatch, no socket;
 //! * **tcp** — the full streamlined transport over loopback.
 
 use std::sync::Arc;
@@ -19,8 +22,9 @@ use weaver_core::component::ComponentInterface;
 use weaver_core::context::CallContext;
 use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
+use weaver_placement::ComponentPlacement;
 use weaver_runtime::dispatch::ProcletDispatcher;
-use weaver_runtime::{SingleMode, SingleProcess};
+use weaver_runtime::{SingleMode, SingleProcess, TcpOptions, TcpProcess};
 use weaver_transport::{Connection, RequestHeader, Status, WeaverFraming};
 
 fn bench_get_product(c: &mut Criterion) {
@@ -49,7 +53,32 @@ fn bench_get_product(c: &mut Criterion) {
         })
     });
 
-    // Rung 3: over TCP via the proclet dispatcher (what a remote replica
+    // Rung 3: live-colocated. A two-replica loopback deployment whose
+    // catalog was migrated in by `migrate_component`, as the placement
+    // loop does: each call passes the admission gate and dispatches to
+    // replica 0's handler in-process.
+    let live = TcpProcess::deploy(
+        boutique::registry(),
+        TcpOptions {
+            replicas: 2,
+            ..Default::default()
+        },
+        1,
+    )
+    .expect("deploy tcp");
+    live.migrate_component(<dyn ProductCatalog>::NAME, ComponentPlacement::Colocated)
+        .expect("colocate catalog");
+    let catalog = live.get::<dyn ProductCatalog>().expect("catalog");
+    let live_ctx = live.root_context();
+    group.bench_function("live_colocated", |b| {
+        b.iter(|| {
+            catalog
+                .get_product(&live_ctx, "OLJCESPC7Z".into())
+                .expect("get_product")
+        })
+    });
+
+    // Rung 4: over TCP via the proclet dispatcher (what a remote replica
     // actually runs).
     let registry = boutique::registry();
     let live = Arc::new(LiveComponents::new(Arc::clone(&registry)));

@@ -21,6 +21,12 @@
 //! * All replicas of a process share one cache (see `TcpProcess`), so a
 //!   retry that lands on a different replica than the first attempt still
 //!   finds the recorded response.
+//! * Local dispatch to a migrated-in (colocated) component carries **no
+//!   key**, so it is neither replayed nor recorded. The call resolves
+//!   synchronously when it begins and is never retried, and the cache only
+//!   exists for the one retry of a wire call after an ambiguous failure.
+//!   Keying local calls would make every colocated call lock this cache
+//!   twice and copy its response in, for a replay that cannot happen.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -118,6 +118,8 @@ impl RpcHandler for ProcletDispatcher {
         // Replay completed keyed requests instead of re-executing. Strictly
         // after the version gate: a stale caller must still see
         // VersionMismatch, never a response recorded under the old version.
+        // Keyless requests (local dispatch of a colocated component) skip
+        // the cache entirely, here and in `record` below.
         if header.idempotency.is_some() && header.version == self.version {
             if let Some(replayed) = self.dedup.replay(header) {
                 return replayed;

@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -29,8 +30,6 @@ pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
 /// never repeat and don't cluster).
 pub fn next_idempotency_key() -> u64 {
     use std::hash::{BuildHasher, Hasher};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::OnceLock;
     static BASE: OnceLock<u64> = OnceLock::new();
     static NEXT: AtomicU64 = AtomicU64::new(1);
     let base = *BASE.get_or_init(|| {
@@ -67,27 +66,99 @@ fn key_in_range(key: u64, range: (u64, u64)) -> bool {
     key >= range.0 && (key < range.1 || (range.1 == u64::MAX && key == u64::MAX))
 }
 
-/// Migration gate state: which key ranges are frozen (calls queue instead
-/// of launching) and which routed keys have calls in flight (so a
-/// migration can drain the old owner before handing off).
+/// The whole keyspace. A component freeze is a freeze of this range, and
+/// it is the only freeze that also queues unrouted calls.
+pub const FULL_KEYSPACE: (u64, u64) = (0, u64::MAX);
+
+/// One component's admission gate.
+///
+/// Open, a call pays two atomic read-modify-writes and no lock: `admit`
+/// bumps `fast` and checks `frozen`, `release` drops `fast`. While any
+/// range is frozen, admits take the slow path under `slow`, which records
+/// each admitted call by key so a range drain waits for exactly the keys
+/// it moves (plus whatever the fast path admitted before the freeze).
 #[derive(Default)]
-struct FreezeState {
-    /// component → frozen key ranges.
-    frozen: HashMap<u32, Vec<(u64, u64)>>,
-    /// (component, routing key) → routed calls in flight.
-    active: HashMap<(u32, u64), u32>,
-    /// Components whose *entire* admission is frozen (placement migration).
-    frozen_components: std::collections::HashSet<u32>,
-    /// component → calls in flight (all calls, routed or not).
-    component_active: HashMap<u32, u32>,
+struct ComponentGate {
+    /// Calls admitted while the gate was open and not yet released.
+    fast: AtomicU64,
+    /// Set while `slow.ranges` is non-empty.
+    frozen: AtomicBool,
+    slow: Mutex<SlowGate>,
+    cond: Condvar,
 }
 
-impl FreezeState {
-    fn is_frozen(&self, component: u32, key: u64) -> bool {
-        self.frozen
-            .get(&component)
-            .is_some_and(|ranges| ranges.iter().any(|&r| key_in_range(key, r)))
+/// The frozen half of a gate: what is frozen and who was admitted anyway.
+#[derive(Default)]
+struct SlowGate {
+    /// Frozen key ranges; [`FULL_KEYSPACE`] for a component freeze.
+    ranges: Vec<(u64, u64)>,
+    /// Routed calls admitted on the slow path, by key.
+    keys: HashMap<u64, u32>,
+    /// Unrouted calls admitted on the slow path.
+    unrouted: u32,
+}
+
+impl SlowGate {
+    fn blocks(&self, key: Option<u64>) -> bool {
+        match key {
+            Some(key) => self.ranges.iter().any(|&r| key_in_range(key, r)),
+            None => self.ranges.contains(&FULL_KEYSPACE),
+        }
     }
+
+    fn busy(&self, range: (u64, u64)) -> bool {
+        self.keys.keys().any(|&k| key_in_range(k, range))
+            || (range == FULL_KEYSPACE && self.unrouted > 0)
+    }
+}
+
+impl ComponentGate {
+    fn release_fast(&self) {
+        // Only a drain waits on the fast count, and a drain only runs
+        // frozen: an open gate never notifies.
+        if self.fast.fetch_sub(1, Ordering::SeqCst) == 1 && self.frozen.load(Ordering::SeqCst) {
+            // Taking the lock orders this wakeup after a drainer that saw
+            // the old count has parked on the condvar.
+            drop(self.slow.lock());
+            self.cond.notify_all();
+        }
+    }
+}
+
+/// Gates per component id. Ids are dense registry indices, so gates are
+/// allocated a chunk at a time on first use and a lookup is one lock-free
+/// `OnceLock` read.
+struct Gates([OnceLock<Box<[ComponentGate]>>; GATE_CHUNKS]);
+
+const GATE_CHUNK: usize = 16;
+const GATE_CHUNKS: usize = 256;
+
+impl Default for Gates {
+    fn default() -> Self {
+        Gates([const { OnceLock::new() }; GATE_CHUNKS])
+    }
+}
+
+impl Gates {
+    fn get(&self, component: u32) -> Option<&ComponentGate> {
+        let index = component as usize;
+        let chunk = self
+            .0
+            .get(index / GATE_CHUNK)?
+            .get_or_init(|| (0..GATE_CHUNK).map(|_| ComponentGate::default()).collect());
+        chunk.get(index % GATE_CHUNK)
+    }
+}
+
+/// One admission through a component gate. Pass it back to
+/// [`RoutingTable::release`] exactly once when the call ends.
+#[must_use = "an admission must be released, or drains on the component never finish"]
+#[derive(Debug)]
+pub struct GateToken {
+    component: u32,
+    /// `None` for a fast-path admission; otherwise the slow-path entry
+    /// (the routing key, or `None` for an unrouted call).
+    slow: Option<Option<u64>>,
 }
 
 /// Shared, updatable routing table.
@@ -95,8 +166,7 @@ impl FreezeState {
 pub struct RoutingTable {
     state: RwLock<RoutingState>,
     tracker: SliceLoadTracker,
-    gate: Mutex<FreezeState>,
-    gate_cond: Condvar,
+    gates: Gates,
 }
 
 impl RoutingTable {
@@ -113,16 +183,6 @@ impl RoutingTable {
         }
         *state = new_state;
         true
-    }
-
-    /// Replica addresses for a component (empty when unknown).
-    pub fn replicas_of(&self, component: u32) -> Vec<SocketAddr> {
-        self.state
-            .read()
-            .routes
-            .get(&component)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Resolves the address for one call.
@@ -207,142 +267,6 @@ impl RoutingTable {
         state.epoch
     }
 
-    // --- migration gate -------------------------------------------------
-    //
-    // The freeze/drain/admit protocol that keeps A8 per-key monotonicity
-    // across a rebalance: a migration freezes the moving range (new calls
-    // queue in `admit` instead of launching), drains in-flight calls to
-    // the old owner, hands state off, installs the new assignment, then
-    // unfreezes — so no key is ever served by two replicas concurrently.
-
-    /// Blocks while `key` is in a frozen range, then registers the call as
-    /// in flight. Fails with `Unavailable` if the freeze outlasts
-    /// `deadline`. Every successful admit must be paired with one
-    /// [`RoutingTable::release`].
-    pub fn admit(&self, component: u32, key: u64, deadline: Instant) -> Result<(), WeaverError> {
-        let mut gate = self.gate.lock();
-        while gate.is_frozen(component, key) {
-            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
-                return Err(WeaverError::Unavailable {
-                    detail: format!(
-                        "slice for key {key:#x} of component #{component} frozen past deadline"
-                    ),
-                });
-            }
-        }
-        *gate.active.entry((component, key)).or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// Releases one in-flight registration made by [`RoutingTable::admit`].
-    pub fn release(&self, component: u32, key: u64) {
-        let mut gate = self.gate.lock();
-        if let Some(n) = gate.active.get_mut(&(component, key)) {
-            *n -= 1;
-            if *n == 0 {
-                gate.active.remove(&(component, key));
-            }
-        }
-        self.gate_cond.notify_all();
-    }
-
-    /// Freezes a key range: subsequent routed calls for keys in it queue
-    /// in [`RoutingTable::admit`] until [`RoutingTable::unfreeze`].
-    pub fn freeze(&self, component: u32, range: (u64, u64)) {
-        self.gate
-            .lock()
-            .frozen
-            .entry(component)
-            .or_default()
-            .push(range);
-    }
-
-    /// Lifts a freeze placed by [`RoutingTable::freeze`] and wakes queued
-    /// callers (who re-resolve against the *current* assignment, i.e. the
-    /// new owner if a migration committed in between).
-    pub fn unfreeze(&self, component: u32, range: (u64, u64)) {
-        let mut gate = self.gate.lock();
-        if let Some(ranges) = gate.frozen.get_mut(&component) {
-            if let Some(i) = ranges.iter().position(|&r| r == range) {
-                ranges.remove(i);
-            }
-            if ranges.is_empty() {
-                gate.frozen.remove(&component);
-            }
-        }
-        self.gate_cond.notify_all();
-    }
-
-    // --- component gate -------------------------------------------------
-    //
-    // The placement-migration analogue of the slice gate: a component
-    // migration freezes the *whole* component (every new call — routed or
-    // not — queues in `admit_component`), drains all in-flight calls, moves
-    // the dispatch target between the remote pool and a local instance,
-    // bumps the epoch, then unfreezes. Every call passes this gate, so a
-    // migration observes every in-flight call and no call is ever executed
-    // at two placements.
-
-    /// Blocks while `component` is frozen for migration, then registers
-    /// the call as in flight. Fails with `Unavailable` if the freeze
-    /// outlasts `deadline`. Every successful admit must be paired with one
-    /// [`RoutingTable::release_component`].
-    pub fn admit_component(&self, component: u32, deadline: Instant) -> Result<(), WeaverError> {
-        let mut gate = self.gate.lock();
-        while gate.frozen_components.contains(&component) {
-            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
-                return Err(WeaverError::Unavailable {
-                    detail: format!("component #{component} frozen for migration past deadline"),
-                });
-            }
-        }
-        *gate.component_active.entry(component).or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// Releases one in-flight registration made by
-    /// [`RoutingTable::admit_component`].
-    pub fn release_component(&self, component: u32) {
-        let mut gate = self.gate.lock();
-        if let Some(n) = gate.component_active.get_mut(&component) {
-            *n -= 1;
-            if *n == 0 {
-                gate.component_active.remove(&component);
-            }
-        }
-        self.gate_cond.notify_all();
-    }
-
-    /// Freezes a whole component: subsequent calls queue in
-    /// [`RoutingTable::admit_component`] until
-    /// [`RoutingTable::unfreeze_component`].
-    pub fn freeze_component(&self, component: u32) {
-        self.gate.lock().frozen_components.insert(component);
-    }
-
-    /// Lifts a component freeze and wakes queued callers (who re-resolve
-    /// against the *current* dispatch target — the new placement if a
-    /// migration committed in between).
-    pub fn unfreeze_component(&self, component: u32) {
-        self.gate.lock().frozen_components.remove(&component);
-        self.gate_cond.notify_all();
-    }
-
-    /// Waits until no admitted call for `component` remains in flight.
-    /// Only meaningful after [`RoutingTable::freeze_component`] (otherwise
-    /// new calls keep arriving). Returns whether the component drained
-    /// before `timeout`.
-    pub fn drain_component(&self, component: u32, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut gate = self.gate.lock();
-        while gate.component_active.get(&component).copied().unwrap_or(0) > 0 {
-            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Bumps the epoch without touching assignments — the commit point of
     /// a placement migration on a component with no slice assignment.
     /// Returns the new epoch.
@@ -352,19 +276,147 @@ impl RoutingTable {
         state.epoch
     }
 
-    /// Waits until no admitted call for a key in `range` remains in
-    /// flight. Only meaningful after [`RoutingTable::freeze`] on the same
-    /// range (otherwise new calls keep arriving). Returns whether the
-    /// range drained before `timeout`.
+    // --- admission gate -------------------------------------------------
+    //
+    // The freeze/drain/admit protocol behind both live migrations. The
+    // slicer freezes the key ranges it moves (A8 per-key monotonicity);
+    // placement freezes the whole keyspace, which also queues unrouted
+    // calls. Either way new calls in the frozen scope queue in `admit`
+    // instead of launching, the migration drains the calls admitted before
+    // the freeze, hands state or the dispatch target over, commits, and
+    // unfreezes — so no key is ever served at two places at once.
+    //
+    // `drain` cannot deadlock on its own component: lint rule L2 keeps the
+    // call graph acyclic, so a call in flight on component C never makes a
+    // nested call into C that would queue behind C's freeze.
+
+    /// Admits one call to `component` — routed on `key`, or unrouted with
+    /// `None`. Blocks while the call's scope is frozen (a frozen range
+    /// holding `key`, or [`FULL_KEYSPACE`] for any call) and fails with
+    /// `Unavailable` if the freeze outlasts `deadline`. Every admission
+    /// must be handed back to [`RoutingTable::release`] exactly once.
+    pub fn admit(
+        &self,
+        component: u32,
+        key: Option<u64>,
+        deadline: Instant,
+    ) -> Result<GateToken, WeaverError> {
+        let gate = self
+            .gates
+            .get(component)
+            .ok_or_else(|| WeaverError::Unavailable {
+                detail: format!("component #{component} has no admission gate"),
+            })?;
+        // The relaxed load only spares a frozen gate the count's round
+        // trip; a stale value lands in one of the two safe paths below.
+        if !gate.frozen.load(Ordering::Relaxed) {
+            gate.fast.fetch_add(1, Ordering::SeqCst);
+            // Pairs with the store in `freeze` and the count load in
+            // `drain`: either this load sees the freeze, or the drain sees
+            // this admission.
+            if !gate.frozen.load(Ordering::SeqCst) {
+                return Ok(GateToken {
+                    component,
+                    slow: None,
+                });
+            }
+            gate.release_fast();
+        }
+        let mut slow = gate.slow.lock();
+        while slow.blocks(key) {
+            if gate.cond.wait_until(&mut slow, deadline).timed_out() {
+                return Err(WeaverError::Unavailable {
+                    detail: match key {
+                        Some(key) => format!(
+                            "slice for key {key:#x} of component #{component} frozen past deadline"
+                        ),
+                        None => {
+                            format!("component #{component} frozen for migration past deadline")
+                        }
+                    },
+                });
+            }
+        }
+        match key {
+            Some(key) => *slow.keys.entry(key).or_insert(0) += 1,
+            None => slow.unrouted += 1,
+        }
+        Ok(GateToken {
+            component,
+            slow: Some(key),
+        })
+    }
+
+    /// Ends one admission made by [`RoutingTable::admit`].
+    pub fn release(&self, token: GateToken) {
+        let Some(gate) = self.gates.get(token.component) else {
+            return;
+        };
+        let Some(key) = token.slow else {
+            gate.release_fast();
+            return;
+        };
+        let mut slow = gate.slow.lock();
+        match key {
+            Some(key) => {
+                if let Some(n) = slow.keys.get_mut(&key) {
+                    *n -= 1;
+                    if *n == 0 {
+                        slow.keys.remove(&key);
+                    }
+                }
+            }
+            None => slow.unrouted = slow.unrouted.saturating_sub(1),
+        }
+        drop(slow);
+        gate.cond.notify_all();
+    }
+
+    /// Freezes a key range of `component` ([`FULL_KEYSPACE`] freezes the
+    /// whole component): subsequent calls in it queue in
+    /// [`RoutingTable::admit`] until [`RoutingTable::unfreeze`].
+    pub fn freeze(&self, component: u32, range: (u64, u64)) {
+        if let Some(gate) = self.gates.get(component) {
+            let mut slow = gate.slow.lock();
+            slow.ranges.push(range);
+            gate.frozen.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Lifts a freeze placed by [`RoutingTable::freeze`] and wakes queued
+    /// callers (who re-resolve against the *current* assignment and
+    /// dispatch target, i.e. the new owner if a migration committed in
+    /// between).
+    pub fn unfreeze(&self, component: u32, range: (u64, u64)) {
+        let Some(gate) = self.gates.get(component) else {
+            return;
+        };
+        let mut slow = gate.slow.lock();
+        if let Some(i) = slow.ranges.iter().position(|&r| r == range) {
+            slow.ranges.remove(i);
+        }
+        if slow.ranges.is_empty() {
+            gate.frozen.store(false, Ordering::SeqCst);
+        }
+        drop(slow);
+        gate.cond.notify_all();
+    }
+
+    /// Waits until no admitted call that may touch `range` remains in
+    /// flight: every fast-path admission (its key is not tracked), every
+    /// slow-path admission of a key in `range`, and — for
+    /// [`FULL_KEYSPACE`] — every unrouted slow-path admission. Only
+    /// meaningful after [`RoutingTable::freeze`] on the same range
+    /// (otherwise new calls keep arriving). Returns whether the range
+    /// drained before `timeout`.
     pub fn drain(&self, component: u32, range: (u64, u64), timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut gate = self.gate.lock();
-        while gate
-            .active
-            .keys()
-            .any(|&(c, k)| c == component && key_in_range(k, range))
-        {
-            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
+        let Some(gate) = self.gates.get(component) else {
+            return true;
+        };
+        let mut slow = gate.slow.lock();
+        while gate.fast.load(Ordering::SeqCst) > 0 || slow.busy(range) {
+            if gate.cond.wait_until(&mut slow, deadline).timed_out() {
                 return false;
             }
         }
@@ -491,7 +543,7 @@ struct RouterInner {
     /// Attach a fresh idempotency key to every call (the default). Off,
     /// retries are begin-time-only — the pre-dedup behavior, kept as a
     /// test hook so the double-execution hazard stays demonstrable.
-    auto_idempotency: std::sync::atomic::AtomicBool,
+    auto_idempotency: AtomicBool,
 }
 
 impl RemoteRouter {
@@ -541,7 +593,7 @@ impl RemoteRouter {
                 local_latency: LatencyHistograms::new(metrics, "colocated"),
                 edge_cache: EdgeHandleCache::new(),
                 local: RwLock::new(HashMap::new()),
-                auto_idempotency: std::sync::atomic::AtomicBool::new(true),
+                auto_idempotency: AtomicBool::new(true),
             }),
         }
     }
@@ -573,7 +625,7 @@ impl RemoteRouter {
     pub fn set_auto_idempotency(&self, enabled: bool) {
         self.inner
             .auto_idempotency
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
+            .store(enabled, Ordering::Relaxed);
     }
 
     /// The call graph edges this router has recorded.
@@ -601,6 +653,7 @@ impl RouterInner {
         ctx: &CallContext,
         method: u32,
         routing: Option<u64>,
+        keyed: bool,
     ) -> RequestHeader {
         RequestHeader {
             component: target.component_id,
@@ -612,9 +665,7 @@ impl RouterInner {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
             routing,
-            idempotency: self
-                .auto_idempotency
-                .load(std::sync::atomic::Ordering::Relaxed)
+            idempotency: (keyed && self.auto_idempotency.load(Ordering::Relaxed))
                 .then(next_idempotency_key),
             attempt: 0,
         }
@@ -669,10 +720,8 @@ struct RemoteFuture {
     /// Replica index charged on the balancer, released exactly once.
     active_replica: Option<usize>,
     active_addr: Option<SocketAddr>,
-    /// In-flight registration on the migration gate, released exactly once.
-    admit_token: Option<(u32, u64)>,
-    /// In-flight registration on the component gate, released exactly once.
-    component_token: Option<u32>,
+    /// Admission on the component's gate, released exactly once.
+    gate: Option<GateToken>,
     /// Whether the call dispatched to a migrated-in local instance (for
     /// latency labeling: `colocated` instead of the wire placement).
     local: bool,
@@ -689,8 +738,23 @@ impl RemoteFuture {
         args: Vec<u8>,
     ) -> RemoteFuture {
         let started = Instant::now();
-        let timeout = ctx.remaining().unwrap_or(DEFAULT_CALL_TIMEOUT);
-        let header = inner.header_for(target, ctx, method, routing);
+        let deadline = started + ctx.remaining().unwrap_or(DEFAULT_CALL_TIMEOUT);
+        // Every call passes its component's admission gate first: a frozen
+        // scope queues the call here (blocking the caller, not dropping),
+        // and the admission lets a migration drain every outstanding call
+        // before it moves keys or the dispatch target.
+        let admitted = inner.table.admit(target.component_id, routing, deadline);
+        // A migrated-in component dispatches locally: the handler the
+        // component's server runs, minus the socket. Looked up after
+        // admission (the target only changes while the gate is frozen and
+        // drained) and before the header, because a local dispatch carries
+        // no idempotency key: it resolves here and is never retried, so
+        // the dispatcher neither replays nor records it.
+        let local = match admitted {
+            Ok(_) => inner.local.read().get(&target.component_id).cloned(),
+            Err(_) => None,
+        };
+        let header = inner.header_for(target, ctx, method, routing, local.is_none());
         let method_name = target.methods.get(method as usize).map_or("?", |m| m.name);
         let mut fut = RemoteFuture {
             inner,
@@ -703,44 +767,23 @@ impl RemoteFuture {
             callee: target.name,
             method_name,
             started,
-            deadline: started + timeout,
+            deadline,
             state: RemoteState::Done,
             active_replica: None,
             active_addr: None,
-            admit_token: None,
-            component_token: None,
+            gate: None,
             local: false,
             retried: false,
         };
-        // Every call passes the component migration gate first: a frozen
-        // component queues the call here (blocking the caller, not
-        // dropping), and the in-flight registration lets a placement
-        // migration drain every outstanding call before it moves the
-        // dispatch target.
-        match fut.inner.table.admit_component(fut.component, fut.deadline) {
-            Ok(()) => fut.component_token = Some(fut.component),
+        match admitted {
+            Ok(token) => fut.gate = Some(token),
             Err(e) => {
                 fut.state = RemoteState::Ready(Err(e));
                 return fut;
             }
         }
-        // Routed calls additionally pass the slice gate before resolving a
-        // replica: a frozen slice queues the call, and the registration
-        // lets a rebalance drain the old owner. Unrouted calls have no
-        // affinity to protect.
-        if let Some(key) = routing {
-            match fut.inner.table.admit(fut.component, key, fut.deadline) {
-                Ok(()) => fut.admit_token = Some((fut.component, key)),
-                Err(e) => {
-                    fut.state = RemoteState::Ready(Err(e));
-                    return fut;
-                }
-            }
-        }
-        // A migrated-in component dispatches locally: same handler the
-        // component's server runs, minus the socket. Synchronous — a local
-        // dispatch is the thing we migrated to make fast.
-        let local = fut.inner.local.read().get(&fut.component).cloned();
+        // Synchronous: a local dispatch is the thing we migrated to make
+        // fast.
         if let Some(handler) = local {
             let body = handler.handle(&fut.header, &fut.args);
             fut.local = true;
@@ -813,11 +856,8 @@ impl RemoteFuture {
     }
 
     fn release_admission(&mut self) {
-        if let Some((component, key)) = self.admit_token.take() {
-            self.inner.table.release(component, key);
-        }
-        if let Some(component) = self.component_token.take() {
-            self.inner.table.release_component(component);
+        if let Some(token) = self.gate.take() {
+            self.inner.table.release(token);
         }
     }
 
@@ -1081,9 +1121,17 @@ mod tests {
     }
 
     #[test]
-    fn replicas_of_unknown_is_empty() {
+    fn pick_on_empty_table_is_unavailable() {
         let table = RoutingTable::new();
-        assert!(table.replicas_of(3).is_empty());
+        let balancer = PowerOfTwo::new(8);
+        assert!(matches!(
+            table.pick(3, None, &balancer),
+            Err(WeaverError::Unavailable { .. })
+        ));
+        assert!(matches!(
+            table.pick(3, Some(7), &balancer),
+            Err(WeaverError::Unavailable { .. })
+        ));
     }
 
     #[test]
@@ -1131,9 +1179,13 @@ mod tests {
         assert_eq!(epoch, before + 1);
         assert_eq!(table.epoch(), epoch);
         let balancer = PowerOfTwo::new(8);
-        let (picked, _) = table.pick(0, Some(7), &balancer).unwrap();
-        let replicas = table.replicas_of(0);
-        assert_eq!(picked, replicas[((owner + 1) % 2) as usize]);
+        let (picked, index) = table.pick(0, Some(7), &balancer).unwrap();
+        assert_eq!(index, ((owner + 1) % 2) as usize);
+        assert_eq!(picked, [addr(1001), addr(1002)][index]);
+    }
+
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(5)
     }
 
     #[test]
@@ -1144,26 +1196,24 @@ mod tests {
         // Frozen: admit with an already-expired deadline fails Unavailable.
         let past = Instant::now();
         assert!(matches!(
-            table.admit(0, 5, past),
+            table.admit(0, Some(5), past),
             Err(WeaverError::Unavailable { .. })
         ));
         // A blocked admit wakes when the freeze lifts.
         let t2 = Arc::clone(&table);
-        let waiter =
-            std::thread::spawn(move || t2.admit(0, 5, Instant::now() + Duration::from_secs(5)));
+        let waiter = std::thread::spawn(move || t2.admit(0, Some(5), far()));
         std::thread::sleep(Duration::from_millis(30));
         assert!(!waiter.is_finished(), "admit went through a frozen range");
         table.unfreeze(0, range);
-        waiter.join().unwrap().expect("admit after unfreeze");
-        table.release(0, 5);
+        let token = waiter.join().unwrap().expect("admit after unfreeze");
+        table.release(token);
     }
 
     #[test]
     fn drain_waits_for_releases() {
         let table = table_with(0, &[1001]);
-        let far = Instant::now() + Duration::from_secs(5);
-        table.admit(0, 9, far).unwrap();
-        table.admit(0, 9, far).unwrap();
+        let a = table.admit(0, Some(9), far()).unwrap();
+        let b = table.admit(0, Some(9), far()).unwrap();
         table.freeze(0, (0, u64::MAX));
         assert!(
             !table.drain(0, (0, u64::MAX), Duration::from_millis(20)),
@@ -1172,65 +1222,178 @@ mod tests {
         let t2 = Arc::clone(&table);
         let drainer =
             std::thread::spawn(move || t2.drain(0, (0, u64::MAX), Duration::from_secs(5)));
-        table.release(0, 9);
-        table.release(0, 9);
+        table.release(a);
+        table.release(b);
         assert!(drainer.join().unwrap(), "drain missed the releases");
         table.unfreeze(0, (0, u64::MAX));
         // Keys outside the frozen range are unaffected by a partial freeze.
         table.freeze(0, (100, 200));
-        table.admit(0, 99, far).unwrap();
-        table.release(0, 99);
+        let outside = table.admit(0, Some(99), far()).unwrap();
+        table.release(outside);
         table.unfreeze(0, (100, 200));
     }
 
     #[test]
     fn component_freeze_queues_admit_until_unfrozen() {
         let table = table_with(0, &[1001]);
-        table.freeze_component(0);
+        table.freeze(0, FULL_KEYSPACE);
         // Frozen: admit with an already-expired deadline fails Unavailable.
         assert!(matches!(
-            table.admit_component(0, Instant::now()),
+            table.admit(0, None, Instant::now()),
             Err(WeaverError::Unavailable { .. })
         ));
         // Other components are unaffected by the freeze.
-        table
-            .admit_component(1, Instant::now() + Duration::from_secs(1))
-            .unwrap();
-        table.release_component(1);
+        let other = table.admit(1, None, far()).unwrap();
+        table.release(other);
         // A blocked admit wakes when the freeze lifts.
         let t2 = Arc::clone(&table);
-        let waiter = std::thread::spawn(move || {
-            t2.admit_component(0, Instant::now() + Duration::from_secs(5))
-        });
+        let waiter = std::thread::spawn(move || t2.admit(0, None, far()));
         std::thread::sleep(Duration::from_millis(30));
         assert!(
             !waiter.is_finished(),
             "admit went through a frozen component"
         );
-        table.unfreeze_component(0);
-        waiter.join().unwrap().expect("admit after unfreeze");
-        table.release_component(0);
+        table.unfreeze(0, FULL_KEYSPACE);
+        let token = waiter.join().unwrap().expect("admit after unfreeze");
+        table.release(token);
     }
 
     #[test]
     fn drain_component_waits_for_releases() {
         let table = table_with(0, &[1001]);
-        let far = Instant::now() + Duration::from_secs(5);
-        table.admit_component(0, far).unwrap();
-        table.admit_component(0, far).unwrap();
-        table.freeze_component(0);
+        let routed = table.admit(0, Some(3), far()).unwrap();
+        let unrouted = table.admit(0, None, far()).unwrap();
+        table.freeze(0, FULL_KEYSPACE);
         assert!(
-            !table.drain_component(0, Duration::from_millis(20)),
+            !table.drain(0, FULL_KEYSPACE, Duration::from_millis(20)),
             "drained with calls in flight"
         );
         let t2 = Arc::clone(&table);
-        let drainer = std::thread::spawn(move || t2.drain_component(0, Duration::from_secs(5)));
-        table.release_component(0);
-        table.release_component(0);
+        let drainer =
+            std::thread::spawn(move || t2.drain(0, FULL_KEYSPACE, Duration::from_secs(5)));
+        table.release(routed);
+        table.release(unrouted);
         assert!(drainer.join().unwrap(), "drain missed the releases");
-        table.unfreeze_component(0);
+        table.unfreeze(0, FULL_KEYSPACE);
         // A component with nothing in flight drains immediately.
-        assert!(table.drain_component(0, Duration::from_millis(1)));
+        assert!(table.drain(0, FULL_KEYSPACE, Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn freeze_scope_decides_who_queues() {
+        let table = table_with(0, &[1001]);
+        let past = Instant::now();
+        // A partial range freeze queues only routed keys inside it: keys
+        // outside and unrouted calls are admitted (on the slow path).
+        table.freeze(0, (100, 200));
+        assert!(table.admit(0, Some(150), past).is_err());
+        let outside = table.admit(0, Some(99), past).expect("key outside range");
+        let unrouted = table
+            .admit(0, None, past)
+            .expect("unrouted under range freeze");
+        // Slow-path admissions count for the drain of their scope only.
+        assert!(table.drain(0, (100, 200), Duration::from_millis(1)));
+        assert!(!table.drain(0, (0, 100), Duration::from_millis(1)));
+        table.release(outside);
+        assert!(table.drain(0, (0, 100), Duration::from_millis(1)));
+        assert!(!table.drain(0, FULL_KEYSPACE, Duration::from_millis(1)));
+        table.release(unrouted);
+        assert!(table.drain(0, FULL_KEYSPACE, Duration::from_millis(1)));
+        // A component freeze queues every call, routed or not.
+        table.freeze(0, FULL_KEYSPACE);
+        assert!(table.admit(0, None, past).is_err());
+        assert!(table.admit(0, Some(99), past).is_err());
+        // Lifting the component freeze leaves the range freeze in force.
+        table.unfreeze(0, FULL_KEYSPACE);
+        assert!(table.admit(0, Some(150), past).is_err());
+        table.release(table.admit(0, None, past).expect("unrouted"));
+        table.unfreeze(0, (100, 200));
+        table.release(table.admit(0, Some(150), past).expect("unfrozen"));
+    }
+
+    #[test]
+    fn gate_stress_drain_sees_every_admitted_call() {
+        use std::sync::atomic::AtomicBool;
+
+        const THREADS: u64 = 4;
+        const KEYS: u64 = 64;
+        const ROUNDS: u64 = 300;
+        let table = table_with(0, &[1001]);
+        // Calls inside their critical section, by key (slot KEYS holds the
+        // unrouted ones), and admissions so far.
+        let inside: Arc<Vec<AtomicU64>> = Arc::new((0..=KEYS).map(|_| AtomicU64::new(0)).collect());
+        let admitted = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let table = Arc::clone(&table);
+                let inside = Arc::clone(&inside);
+                let admitted = Arc::clone(&admitted);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let mut n = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        n += THREADS;
+                        let key = (n % 5 != 0).then_some(n % KEYS);
+                        let token = table.admit(0, key, far()).expect("admit");
+                        admitted.fetch_add(1, Ordering::SeqCst);
+                        let slot = &inside[key.unwrap_or(KEYS) as usize];
+                        slot.fetch_add(1, Ordering::SeqCst);
+                        if n % 7 == 0 {
+                            std::thread::yield_now();
+                        }
+                        slot.fetch_sub(1, Ordering::SeqCst);
+                        table.release(token);
+                    }
+                })
+            })
+            .collect();
+        // The controller: freeze a scope, drain it, and check that no
+        // admitted call of that scope is still inside its critical section.
+        // Each round waits for fresh admissions, so freezes land on live
+        // traffic on both the fast and the slow path.
+        for round in 0..ROUNDS {
+            let seen = admitted.load(Ordering::SeqCst);
+            while admitted.load(Ordering::SeqCst) < seen + 20 {
+                std::thread::yield_now();
+            }
+            let range = if round % 3 == 0 {
+                FULL_KEYSPACE
+            } else {
+                let start = round % KEYS;
+                (start, start + 1 + round % 9)
+            };
+            table.freeze(0, range);
+            assert!(
+                table.drain(0, range, Duration::from_secs(10)),
+                "round {round}: {range:?} did not drain"
+            );
+            for key in (0..KEYS).filter(|&k| key_in_range(k, range)) {
+                assert_eq!(
+                    inside[key as usize].load(Ordering::SeqCst),
+                    0,
+                    "round {round}: key {key} inside a drained range {range:?}"
+                );
+            }
+            if range == FULL_KEYSPACE {
+                assert_eq!(
+                    inside[KEYS as usize].load(Ordering::SeqCst),
+                    0,
+                    "round {round}: unrouted call inside a drained component"
+                );
+            }
+            // Hold the freeze briefly so callers pile up behind it.
+            std::thread::yield_now();
+            table.unfreeze(0, range);
+        }
+        stop.store(true, Ordering::Relaxed);
+        for worker in workers {
+            worker.join().expect("worker");
+        }
+        // Everything released: a full drain is immediate.
+        table.freeze(0, FULL_KEYSPACE);
+        assert!(table.drain(0, FULL_KEYSPACE, Duration::from_millis(1)));
+        table.unfreeze(0, FULL_KEYSPACE);
     }
 
     #[test]

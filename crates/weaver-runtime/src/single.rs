@@ -51,6 +51,46 @@ pub struct ComponentFault {
     pub down: bool,
 }
 
+/// Checks `component`'s injected fault on the call path, for both the
+/// single-process and the TCP deployer: `down` beats everything, a delay
+/// applies to successes and failures alike, and `fail_next` fails exactly
+/// that many calls, however many race for them.
+///
+/// The common case (no fault) takes only the read lock. The write lock is
+/// held just long enough to claim one `fail_next`, and the delay is slept
+/// outside any lock, so a delayed component never slows calls to others.
+pub(crate) fn check_fault(
+    faults: &RwLock<HashMap<String, ComponentFault>>,
+    component: &str,
+) -> Result<(), WeaverError> {
+    let (down, delay, fail_pending) = match faults.read().get(component) {
+        None => return Ok(()),
+        Some(fault) => (fault.down, fault.delay, fault.fail_next > 0),
+    };
+    if down {
+        return Err(WeaverError::Unavailable {
+            detail: format!("{component} is down (injected)"),
+        });
+    }
+    // Claim one failure under the write lock: concurrent callers that all
+    // saw `fail_next > 0` above must not overdraw it.
+    let fail = fail_pending
+        && faults.write().get_mut(component).is_some_and(|fault| {
+            let claimed = fault.fail_next > 0;
+            fault.fail_next -= u64::from(claimed);
+            claimed
+        });
+    if !delay.is_zero() {
+        std::thread::sleep(delay);
+    }
+    if fail {
+        return Err(WeaverError::Unavailable {
+            detail: format!("{component} failed (injected)"),
+        });
+    }
+    Ok(())
+}
+
 /// The fault-injection surface a deployment exposes to chaos tooling.
 ///
 /// Both the single-process deployer and the real-TCP deployer
@@ -173,28 +213,6 @@ impl SingleProcess {
             .upgrade()
             .expect("deployment still alive")
     }
-
-    fn check_fault(&self, component: &str) -> Result<(), WeaverError> {
-        let mut faults = self.faults.write();
-        let Some(fault) = faults.get_mut(component) else {
-            return Ok(());
-        };
-        if fault.down {
-            return Err(WeaverError::Unavailable {
-                detail: format!("{component} is down (injected)"),
-            });
-        }
-        if !fault.delay.is_zero() {
-            std::thread::sleep(fault.delay);
-        }
-        if fault.fail_next > 0 {
-            fault.fail_next -= 1;
-            return Err(WeaverError::Unavailable {
-                detail: format!("{component} failed (injected)"),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl FaultInjectable for SingleProcess {
@@ -256,7 +274,7 @@ impl CallRouter for SingleProcess {
                 callee_version: self.version,
             })
         } else {
-            self.check_fault(target.name)
+            check_fault(&self.faults, target.name)
         }
         .and_then(|()| {
             if ctx.expired() {

@@ -45,8 +45,10 @@ use weaver_transport::{
 
 use crate::dedup::DedupCache;
 use crate::dispatch::ProcletDispatcher;
-use crate::router::{next_idempotency_key, RemoteRouter, RoutingState, RoutingTable};
-use crate::single::{ComponentFault, FaultInjectable};
+use crate::router::{
+    next_idempotency_key, RemoteRouter, RoutingState, RoutingTable, FULL_KEYSPACE,
+};
+use crate::single::{check_fault, ComponentFault, FaultInjectable};
 
 /// How long a migration waits for in-flight calls on the frozen range to
 /// finish before aborting (and unfreezing with the old assignment intact).
@@ -84,41 +86,6 @@ impl Default for TcpOptions {
 }
 
 type SharedFaults = Arc<RwLock<HashMap<String, ComponentFault>>>;
-
-/// Checks an injected component fault, mirroring the single-process
-/// semantics: `down` beats everything, delays apply to successes and
-/// failures alike, `fail_next` decrements per call.
-fn check_fault(faults: &SharedFaults, component: &str) -> Result<(), WeaverError> {
-    let (down, delay, fail) = {
-        let mut faults = faults.write();
-        let Some(fault) = faults.get_mut(component) else {
-            return Ok(());
-        };
-        let fail = if fault.fail_next > 0 {
-            fault.fail_next -= 1;
-            true
-        } else {
-            false
-        };
-        (fault.down, fault.delay, fail)
-    };
-    if down {
-        return Err(WeaverError::Unavailable {
-            detail: format!("{component} is down (injected)"),
-        });
-    }
-    // Sleep outside the lock so a delayed component does not serialize the
-    // whole deployment's fault checks.
-    if !delay.is_zero() {
-        std::thread::sleep(delay);
-    }
-    if fail {
-        return Err(WeaverError::Unavailable {
-            detail: format!("{component} failed (injected)"),
-        });
-    }
-    Ok(())
-}
 
 /// Server-side handler: component-level fault check, then real dispatch.
 struct FaultingHandler {
@@ -711,13 +678,14 @@ impl TcpProcess {
             .iter()
             .position(|m| m.name == "import_keys");
 
-        // Freeze the whole component, then wait for calls admitted before
-        // the freeze to finish at the old placement. Nested calls arriving
-        // mid-drain queue at the gate (uncounted), so the drain terminates;
-        // they dispatch to the new placement after the unfreeze.
-        self.table.freeze_component(id);
-        if !self.table.drain_component(id, DRAIN_TIMEOUT) {
-            self.table.unfreeze_component(id);
+        // Freeze the whole keyspace (unrouted calls queue too), then wait
+        // for calls admitted before the freeze to finish at the old
+        // placement. Calls arriving mid-drain queue at the gate uncounted,
+        // so the drain terminates; they dispatch to the new placement after
+        // the unfreeze.
+        self.table.freeze(id, FULL_KEYSPACE);
+        if !self.table.drain(id, FULL_KEYSPACE, DRAIN_TIMEOUT) {
+            self.table.unfreeze(id, FULL_KEYSPACE);
             return Err(WeaverError::app(format!(
                 "migration aborted: {component} did not drain"
             )));
@@ -750,7 +718,7 @@ impl TcpProcess {
             }
         };
         if let Err(e) = switch {
-            self.table.unfreeze_component(id);
+            self.table.unfreeze(id, FULL_KEYSPACE);
             return Err(e);
         }
 
@@ -767,7 +735,7 @@ impl TcpProcess {
             }
             None => self.table.bump_epoch(),
         };
-        self.table.unfreeze_component(id);
+        self.table.unfreeze(id, FULL_KEYSPACE);
 
         {
             // One version bump per executed decision — the same contract as
@@ -1362,6 +1330,42 @@ mod tests {
                 .is_some(),
             "local calls should be recorded under the colocated placement"
         );
+    }
+
+    #[test]
+    fn colocated_calls_leave_the_dedup_cache_alone() {
+        let dep = TcpProcess::deploy(
+            registry(),
+            TcpOptions {
+                replicas: 2,
+                ..Default::default()
+            },
+            1,
+        )
+        .unwrap();
+        let counter = dep.get::<dyn Counter>().unwrap();
+        let ctx = dep.root_context();
+        // Every replica shares one cache; the handlers expose it.
+        let dedup = dep.handlers[0].inner.dedup_cache();
+        // Wire calls are keyed, so each completed one is recorded for the
+        // retry an ambiguous failure would trigger.
+        for key in 0..8u64 {
+            counter.bump(&ctx, key).unwrap();
+        }
+        assert_eq!(dedup.entries(), 8, "wire calls must be recorded");
+        dep.migrate_component("test.Counter", ComponentPlacement::Colocated)
+            .unwrap();
+        // The migration's own control-plane calls are keyed wire calls.
+        let before = dedup.entries();
+        for i in 0..200u64 {
+            counter.bump(&ctx, i % 8).unwrap();
+        }
+        assert_eq!(
+            dedup.entries(),
+            before,
+            "colocated calls must not be keyed into the dedup cache"
+        );
+        assert_eq!(dedup.hits(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use boutique::components::Frontend;
+use boutique::components::{CurrencyService, Frontend, ProductCatalog};
 use boutique::loadgen::{run_load, LoadOptions};
 use weaver_runtime::{ComponentFault, SingleMode, SingleProcess};
 use weaver_testing::chaos::{eventually, ChaosOptions, ChaosRunner};
@@ -184,4 +184,72 @@ fn crash_restart_constructs_fresh_replica() {
     // component answers again immediately (restart-on-demand).
     let cart = frontend.view_cart(&ctx, "cr".into(), "USD".into()).unwrap();
     assert!(cart.items.is_empty());
+}
+
+#[test]
+fn delay_on_one_component_does_not_slow_another() {
+    let app = deploy();
+    let catalog = app.get::<dyn ProductCatalog>().unwrap();
+    let currency = app.get::<dyn CurrencyService>().unwrap();
+    let ctx = app.root_context();
+    let delay = Duration::from_millis(400);
+    app.inject_fault(
+        "boutique.ProductCatalog",
+        ComponentFault {
+            delay,
+            ..Default::default()
+        },
+    );
+    let slow = std::thread::spawn({
+        let ctx = ctx.clone();
+        move || {
+            let started = std::time::Instant::now();
+            catalog.get_product(&ctx, "OLJCESPC7Z".into()).unwrap();
+            started.elapsed()
+        }
+    });
+    // Call the currency service for as long as the catalog call is in
+    // flight, so some of these calls overlap its injected delay.
+    let mut worst = Duration::ZERO;
+    while !slow.is_finished() {
+        let started = std::time::Instant::now();
+        currency.get_supported_currencies(&ctx).unwrap();
+        worst = worst.max(started.elapsed());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(slow.join().unwrap() >= delay, "the delay was not applied");
+    assert!(
+        worst < delay / 2,
+        "a delay on the catalog held up the currency service for {worst:?}"
+    );
+}
+
+#[test]
+fn fail_next_fails_exactly_n_among_concurrent_callers() {
+    let app = deploy();
+    let ctx = app.root_context();
+    app.inject_fault(
+        "boutique.CurrencyService",
+        ComponentFault {
+            fail_next: 25,
+            ..Default::default()
+        },
+    );
+    let callers: Vec<_> = (0..8)
+        .map(|_| {
+            let currency = app.get::<dyn CurrencyService>().unwrap();
+            let ctx = ctx.clone();
+            std::thread::spawn(move || {
+                (0..20)
+                    .filter(|_| match currency.get_supported_currencies(&ctx) {
+                        Ok(_) => false,
+                        Err(weaver_core::WeaverError::Unavailable { .. }) => true,
+                        Err(e) => panic!("unexpected error: {e}"),
+                    })
+                    .count()
+            })
+        })
+        .collect();
+    let failed: usize = callers.into_iter().map(|c| c.join().unwrap()).sum();
+    assert_eq!(failed, 25, "fail_next must fail exactly n calls");
 }
