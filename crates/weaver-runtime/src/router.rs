@@ -482,7 +482,7 @@ impl LatencyHistograms {
 /// the ratio as an integer), and the RPC dispatch-queue depth (requests
 /// decoded on the poller but not yet picked up by a worker).
 ///
-/// On targets without the reactor (or with `WEAVER_REACTOR=0`) only the
+/// Before any connection or server has started the reactor, only the
 /// dispatch-queue gauge is recorded.
 pub(crate) fn record_transport_gauges(registry: &MetricsRegistry) {
     if let Some(r) = weaver_transport::reactor_snapshot() {

@@ -1,6 +1,6 @@
 //! The shared readiness reactor: one poller thread (optionally sharded)
-//! owns every client and server socket in non-blocking mode, replacing the
-//! per-connection reader/writer threads and per-accept handler threads.
+//! owns every client and server socket in non-blocking mode, so no thread
+//! is ever created per connection or per accept.
 //!
 //! Architecture:
 //!
@@ -12,24 +12,24 @@
 //! * **Read state machine.** Readiness drives `read` until `WouldBlock`,
 //!   accumulating into a per-connection reassembly buffer. The framing's
 //!   [`Framing::frame_extent`](crate::frame::Framing::frame_extent)
-//!   equivalent (via [`ConnDriver::frame_extent`]) finds complete wire
+//!   equivalent (via `ConnDriver::frame_extent`) finds complete wire
 //!   frames, which are handed to the driver one at a time — partial frames
 //!   carry over to the next readiness event.
-//! * **Write state machine.** Senders enqueue [`OutFrame`]s and schedule a
-//!   flush; the shard thread drains the queue into coalesced batches (the
-//!   same 64 KiB budget as the legacy writer thread, so pipelined callers
-//!   still share syscalls). On `WouldBlock` the unwritten remainder is
-//!   parked and `EPOLLOUT` interest armed — and disarmed again the moment
-//!   the queue drains, so idle connections cost one registration and zero
-//!   wakeups.
+//! * **Write state machine.** Senders enqueue `OutFrame`s and schedule a
+//!   flush; the shard thread drains the queue into coalesced batches of up
+//!   to `COALESCE_BUDGET` bytes, so pipelined callers share syscalls and
+//!   a lone frame is written at once. On `WouldBlock` the unwritten
+//!   remainder is parked and `EPOLLOUT` interest armed — and disarmed again
+//!   the moment the queue drains, so idle connections cost one registration
+//!   and zero wakeups.
 //! * **Dispatch.** Frame decode happens on the shard thread; the driver
 //!   decides what runs where (the client driver resolves pending calls
 //!   in-line, the server driver hands handler execution to a bounded
 //!   worker pool).
 //!
-//! The module is Linux-only (it sits on the vendored `epoll` shim); the
-//! legacy thread-per-connection path remains for other targets and for
-//! streams without a pollable fd.
+//! The reactor sits on the vendored `epoll` shim, so the transport runs on
+//! Linux only. The process-wide instance starts on first use; if its epoll
+//! setup fails, `bind`/`connect` return the error.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -43,7 +43,6 @@ use parking_lot::Mutex;
 use crate::buf::{BufferPool, WireBuf};
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
-use crate::writer::{OutFrame, WriterStats, COALESCE_BUDGET};
 
 /// Token reserved for each shard's wake eventfd.
 const WAKE_TOKEN: u64 = 0;
@@ -55,18 +54,40 @@ const MAX_READS_PER_EVENT: usize = 16;
 /// Bytes appended to the reassembly buffer per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// The byte-stream surface the reactor drives. Implemented for every
-/// [`DuplexStream`]; boxed so one shard can own heterogeneous streams
-/// (plain sockets, fault shims) without generics.
-pub(crate) trait ReactorIo: Read + Write + Send + 'static {
-    /// Severs the stream in both directions (best effort).
-    fn shutdown(&self);
+/// Stop draining the queue once a batch holds this many bytes. Large enough
+/// to amortize a syscall over dozens of typical frames, small enough to keep
+/// the coalescing scratch buffer within the pool's largest size class.
+pub(crate) const COALESCE_BUDGET: usize = 64 * 1024;
+
+/// One outbound frame: an encoded prefix (or a whole frame) plus an
+/// optional zero-copy payload tail written contiguously after it.
+#[derive(Debug)]
+pub(crate) struct OutFrame {
+    /// Frame header bytes (and payload too, when the framing interleaves).
+    pub head: WireBuf,
+    /// Borrowed payload appended verbatim after `head`, if any.
+    pub tail: Option<WireBuf>,
 }
 
-impl<S: DuplexStream> ReactorIo for S {
-    fn shutdown(&self) {
-        self.shutdown_both();
+impl OutFrame {
+    /// A frame that is entirely contained in one buffer.
+    pub fn single(head: WireBuf) -> Self {
+        OutFrame { head, tail: None }
     }
+
+    /// Total bytes this frame puts on the wire.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.as_ref().map_or(0, WireBuf::len)
+    }
+}
+
+/// Per-connection write counters, observable for tests and diagnostics.
+#[derive(Default)]
+pub(crate) struct WriterStats {
+    /// Frames accepted for writing.
+    pub frames: AtomicU64,
+    /// Syscall batches flushed (`flushes <= frames`; the gap is coalescing).
+    pub flushes: AtomicU64,
 }
 
 /// Per-connection protocol logic the reactor calls into. One driver per
@@ -113,13 +134,12 @@ pub(crate) struct ConnState {
     token: u64,
     fd: i32,
     shard: Arc<Shard>,
-    io: Mutex<Box<dyn ReactorIo>>,
+    io: Mutex<Box<dyn DuplexStream>>,
     driver: Mutex<Option<Arc<dyn ConnDriver>>>,
-    /// Shared with the owning `Connection` (the pool checks it).
-    dead: Arc<AtomicBool>,
+    dead: AtomicBool,
     read: Mutex<ReadState>,
     out: Mutex<OutQueue>,
-    stats: Arc<WriterStats>,
+    pub(crate) stats: WriterStats,
     pool: BufferPool,
 }
 
@@ -165,7 +185,7 @@ impl ConnState {
             out.queue.clear();
             out.inflight = None;
         }
-        self.io.lock().shutdown();
+        self.io.lock().shutdown_both();
         // Taking the driver out breaks the ConnState ↔ driver reference
         // cycle (drivers hold the state to send replies).
         let driver = self.driver.lock().take();
@@ -509,20 +529,17 @@ pub(crate) struct Reactor {
     stats: Arc<ReactorStats>,
 }
 
-static GLOBAL: OnceLock<Option<Arc<Reactor>>> = OnceLock::new();
+/// The process-wide reactor, or why it could not start.
+static GLOBAL: OnceLock<Result<Reactor, String>> = OnceLock::new();
 
 impl Reactor {
     /// The process-wide reactor, spawning its shard threads on first use.
-    /// `None` when disabled (`WEAVER_REACTOR=0`) or epoll setup failed.
-    pub fn try_global() -> Option<&'static Arc<Reactor>> {
+    /// An epoll setup failure is remembered and returned to every caller.
+    pub fn global() -> Result<&'static Reactor, TransportError> {
         GLOBAL
-            .get_or_init(|| {
-                if std::env::var("WEAVER_REACTOR").is_ok_and(|v| v == "0") {
-                    return None;
-                }
-                Reactor::spawn().ok().map(Arc::new)
-            })
+            .get_or_init(|| Reactor::spawn().map_err(|e| format!("reactor: {e}")))
             .as_ref()
+            .map_err(|e| TransportError::Io(e.clone()))
     }
 
     fn shard_count() -> usize {
@@ -570,17 +587,16 @@ impl Reactor {
         &self.shards[(token as usize) % self.shards.len()]
     }
 
-    /// Registers a non-blocking duplex stream. The driver starts receiving
-    /// `on_frame` callbacks as soon as bytes arrive.
+    /// Switches a duplex stream to non-blocking mode and registers it. The
+    /// driver starts receiving `on_frame` callbacks as soon as bytes arrive.
     pub fn register_conn(
         &self,
-        io_stream: Box<dyn ReactorIo>,
-        fd: i32,
+        io_stream: Box<dyn DuplexStream>,
         driver: Arc<dyn ConnDriver>,
-        dead: Arc<AtomicBool>,
-        stats: Arc<WriterStats>,
         pool: BufferPool,
     ) -> io::Result<Arc<ConnState>> {
+        io_stream.set_nonblocking(true)?;
+        let fd = io_stream.poll_fd();
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let shard = Arc::clone(self.pick_shard(token));
         let conn = Arc::new(ConnState {
@@ -589,7 +605,7 @@ impl Reactor {
             shard: Arc::clone(&shard),
             io: Mutex::new(io_stream),
             driver: Mutex::new(Some(driver)),
-            dead,
+            dead: AtomicBool::new(false),
             read: Mutex::new(ReadState {
                 rbuf: Vec::new(),
                 filled: 0,
@@ -600,7 +616,7 @@ impl Reactor {
                 scheduled: false,
                 epollout: false,
             }),
-            stats,
+            stats: WriterStats::default(),
             pool,
         });
         shard
@@ -670,12 +686,12 @@ impl Reactor {
     }
 }
 
-/// Counters for the process-wide reactor, or `None` when it is disabled
-/// or has never been started (no reactor-path connection or server was
-/// created yet). Peeks without spawning: asking for metrics never starts
+/// Counters for the process-wide reactor, or `None` when it has never
+/// started (no connection or server was created yet, or its epoll setup
+/// failed). Peeks without spawning: asking for metrics never starts
 /// poller threads.
 pub fn reactor_snapshot() -> Option<ReactorSnapshot> {
-    GLOBAL.get().and_then(|o| o.as_ref()).map(|r| r.snapshot())
+    GLOBAL.get()?.as_ref().ok().map(Reactor::snapshot)
 }
 
 #[cfg(test)]
@@ -707,24 +723,14 @@ mod tests {
     }
 
     fn register_echo(reactor: &Reactor, stream: TcpStream) -> (Arc<ConnState>, Arc<AtomicU64>) {
-        use std::os::fd::AsRawFd;
-        stream.set_nonblocking(true).unwrap();
         stream.set_nodelay(true).unwrap();
-        let fd = stream.as_raw_fd();
         let dead_count = Arc::new(AtomicU64::new(0));
         let driver = Arc::new(EchoDriver {
             pool: BufferPool::new(),
             dead_count: Arc::clone(&dead_count),
         });
         let conn = reactor
-            .register_conn(
-                Box::new(stream),
-                fd,
-                driver,
-                Arc::new(AtomicBool::new(false)),
-                Arc::new(WriterStats::default()),
-                BufferPool::new(),
-            )
+            .register_conn(Box::new(stream), driver, BufferPool::new())
             .unwrap();
         (conn, dead_count)
     }
@@ -845,6 +851,54 @@ mod tests {
             frames > 0 && flushes < frames,
             "{frames} frames / {flushes} flushes"
         );
+        conn.kill();
+    }
+
+    #[test]
+    fn budget_splits_giant_batches() {
+        use crate::frame::Message;
+
+        let reactor = Reactor::spawn().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (managed, _) = listener.accept().unwrap();
+        let (conn, _) = register_echo(&reactor, managed);
+
+        // 40 KiB frames: the 64 KiB budget admits at most two per batch.
+        let pool = BufferPool::new();
+        let mut sent = 0;
+        for i in 0..6u64 {
+            let mut buf = pool.get(64 + (40 << 10));
+            WeaverFraming::write_request(
+                &mut buf,
+                i,
+                &crate::frame::RequestHeader::default(),
+                &[i as u8; 40 << 10],
+            );
+            sent += buf.len();
+            conn.send(OutFrame::single(buf.freeze())).unwrap();
+        }
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut received = vec![0u8; sent];
+        (&peer).read_exact(&mut received).unwrap();
+
+        assert_eq!(conn.stats.frames.load(Ordering::Relaxed), 6);
+        let flushes = conn.stats.flushes.load(Ordering::Relaxed);
+        assert!((3..=6).contains(&flushes), "flushes {flushes}");
+        // Correctness is unconditional on the batching boundaries.
+        let mut framing = WeaverFraming;
+        let mut cursor = io::Cursor::new(&received);
+        for i in 0..6u64 {
+            match framing.read_message(&mut cursor, &pool).unwrap() {
+                Some(Message::Request { stream, args, .. }) => {
+                    assert_eq!(stream, i);
+                    assert_eq!(&*args, &[i as u8; 40 << 10][..]);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(framing.read_message(&mut cursor, &pool).unwrap(), None);
         conn.kill();
     }
 }

@@ -78,10 +78,9 @@ fn severed_connection_fails_pipelined_calls_fast() {
                     match conn.call(&header, &[i; 64], Some(Duration::from_secs(2))) {
                         Ok(resp) => assert_eq!(resp.payload, vec![i; 64]),
                         Err(TransportError::ConnectionClosed) => closed += 1,
-                        // A call registered in the narrow window between the
-                        // pending-drain and the writer channel closing can
-                        // wait out its own deadline; that's a timeout, not a
-                        // hang.
+                        // A call registered in the narrow window around the
+                        // pending-drain can wait out its own deadline;
+                        // that's a timeout, not a hang.
                         Err(TransportError::DeadlineExceeded) => {}
                         Err(other) => panic!("unexpected error class: {other:?}"),
                     }
@@ -198,9 +197,7 @@ fn corrupted_frames_kill_the_connection_cleanly() {
         // payloads keep corruption inside the (tolerated) payload bytes.
         // The later, small calls put the middle of the response frame
         // inside the frame header — stream id or length prefix — which
-        // MUST break the call, on any read granularity (the reactor pulls
-        // whole frames in one read; the legacy reader reads the prefix
-        // separately).
+        // MUST break the call, on any read granularity.
         let len = if i < 10 { 128 } else { 4 };
         let args = vec![i; len];
         if conn

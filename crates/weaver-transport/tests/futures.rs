@@ -162,7 +162,7 @@ fn peer_death_fails_all_outstanding_futures_fast() {
 #[test]
 fn begin_racing_connection_death_leaks_nothing() {
     // Regression for the pending-map leak window: call_begin inserts its
-    // entry, enqueues the frame, and the writer/reader die before the
+    // entry, enqueues the frame, and the connection dies before the
     // flush. The begin path re-checks the dead flag after enqueue and
     // removes its own entry, so however the race lands the caller gets an
     // error (or a resolved future) and the map ends empty.

@@ -8,8 +8,6 @@
 //! calls in flight drains every client pending-map entry (no leaked
 //! futures).
 
-#![cfg(target_os = "linux")]
-
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -36,16 +34,8 @@ fn echo() -> Arc<dyn RpcHandler> {
     })
 }
 
-fn reactor_disabled() -> bool {
-    std::env::var("WEAVER_REACTOR").ok().as_deref() == Some("0")
-}
-
 #[test]
 fn idle_half_open_connections_consume_no_threads() {
-    if reactor_disabled() {
-        // Legacy path: thread-per-connection by design; nothing to assert.
-        return;
-    }
     let _guard = SERIAL.lock();
     let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 2, echo()).unwrap();
     let addr = server.local_addr();

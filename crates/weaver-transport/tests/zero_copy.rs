@@ -182,8 +182,8 @@ fn coalesced_batches_parse_as_back_to_back_frames() {
 }
 
 /// Satellite fix: when the socket dies with requests still queued, callers
-/// fail fast with `ConnectionClosed` instead of the writer spinning on (or
-/// silently accumulating) an unbounded channel.
+/// fail fast with `ConnectionClosed` instead of the flush spinning on (or
+/// silently accumulating) an unbounded queue.
 #[test]
 fn dead_connection_fails_fast_without_spinning() {
     let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 2, echo()).unwrap();
